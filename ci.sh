@@ -38,21 +38,25 @@ if [ "${AQL_FULL_ORACLE:-0}" = "1" ]; then
     # byte). The three-way wall comparison lands in BENCH_sweep.json
     # so the perf trajectory is visible PR over PR: `speedup` is
     # dense/coalesced, `speedup_flat` isolates the pre-coalescing
-    # fast path.
+    # fast path. All three modes run the same mem integrator, so both
+    # ratios measure time advance alone.
     cargo run --release -p aql_experiments --bin sweep -- \
         --time-mode both --bench-json BENCH_sweep.json > /dev/null
 
-    step "perf gate: full-sweep coalesced speedup must stay >= 1.3x"
-    # The chunk-coalescing PR landed at ~1.5x on this container; fail
-    # CI if a regression drags the dense/coalesced ratio below 1.3x.
+    step "perf gate: full-sweep coalesced speedup must stay >= 0.92x"
+    # Five full-oracle runs on a 2-CPU container landed at a median
+    # dense/coalesced ratio of 1.087x; the gate sits at 0.85x that
+    # median, the margin the earlier 1.3x gate had against its ~1.52x
+    # median. It lies below 1.0x: with one shared integrator, the
+    # dense oracle on contended mixes is about as fast as time advance.
     python3 - <<'EOF'
 import json, sys
 d = json.load(open("BENCH_sweep.json"))
 speedup = d["speedup"]
 print(f"full-sweep speedup: dense/coalesced = {speedup:.3f}x "
       f"(flat adaptive {d['speedup_flat']:.3f}x)")
-if speedup < 1.3:
-    sys.exit(f"perf regression: coalesced speedup {speedup:.3f}x < 1.3x")
+if speedup < 0.92:
+    sys.exit(f"perf regression: coalesced speedup {speedup:.3f}x < 0.92x")
 EOF
 else
     step "perf smoke: dense-oracle conformance on a seeded scenario rotation (AQL_FULL_ORACLE=1 for the full matrix)"
@@ -71,8 +75,8 @@ else
         --bench-json /tmp/ci_oracle_sample.json > /dev/null
 
     step "perf gate: sampled per-scenario speedups >= 0.7x their committed baselines"
-    # Per-scenario speedups range ~1.1x to ~18x, so a sampled subset
-    # cannot be held to the full-matrix 1.3x headline. Instead each
+    # Per-scenario speedups range ~0.9x to ~18x, so a sampled subset
+    # cannot be held to the full-matrix headline. Instead each
     # sampled scenario is pinned against its own committed baseline
     # from BENCH_sweep.json: a real coalescing regression drags every
     # scenario down and trips the 0.7x floor; noise on this container

@@ -4,11 +4,10 @@
 //!
 //! Each case advances a warm (fixpoint) workload by 10 ms of CPU:
 //!
-//! * `grid/…` replays the engine's dense chunk grid — one
-//!   `exec_step_lean` call per 100 µs sub-step (100 calls);
-//! * `coalesced/…` answers the same budget with one
-//!   `exec_step_cached` call, which a hot [`aql_mem::RateCache`]
-//!   resolves in O(1);
+//! * `grid/…` replays the engine's dense chunk grid — one uncached
+//!   `exec_step` call per 100 µs sub-step (100 calls);
+//! * `coalesced/…` answers the same budget with one `exec_step` call
+//!   given a hot [`aql_mem::RateCache`], which resolves it in O(1);
 //! * `integrator/…` is the same single call without the rate cache —
 //!   isolating the cache's contribution from plain call batching.
 //!
@@ -17,9 +16,7 @@
 //! fixpoint and pins the non-coalescible baseline (all three paths
 //! must then cost the same — the cache may not slow the miss path).
 
-use aql_mem::{
-    exec_step, exec_step_cached, exec_step_lean, CacheSpec, LlcState, MemProfile, RateCache,
-};
+use aql_mem::{exec_step, CacheSpec, LlcState, MemProfile, RateCache};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -31,7 +28,7 @@ fn warm_state(profile: &MemProfile, spec: &CacheSpec) -> (LlcState, f64) {
     let mut llc = LlcState::new(spec.llc_bytes as f64, 1);
     let mut warmth = 0.0;
     for _ in 0..300 {
-        let _ = exec_step(profile, spec, &mut llc, 0, &mut warmth, 1_000_000);
+        let _ = exec_step(profile, spec, &mut llc, 0, &mut warmth, 1_000_000, None);
     }
     (llc, warmth)
 }
@@ -55,7 +52,7 @@ fn bench_exec_step(c: &mut Criterion) {
                     let mut w = w0;
                     let mut total = 0.0;
                     for _ in 0..(SPAN_NS / GRID_NS) {
-                        total += exec_step_lean(&profile, &spec, &mut llc, 0, &mut w, GRID_NS)
+                        total += exec_step(&profile, &spec, &mut llc, 0, &mut w, GRID_NS, None)
                             .instructions;
                     }
                     black_box(total)
@@ -69,8 +66,9 @@ fn bench_exec_step(c: &mut Criterion) {
                 b.iter(|| {
                     let mut llc = llc0.clone();
                     let mut w = w0;
+                    let cache = Some(&mut cache);
                     black_box(
-                        exec_step_cached(&profile, &spec, &mut llc, 0, &mut w, SPAN_NS, &mut cache)
+                        exec_step(&profile, &spec, &mut llc, 0, &mut w, SPAN_NS, cache)
                             .instructions,
                     )
                 })
@@ -83,7 +81,7 @@ fn bench_exec_step(c: &mut Criterion) {
                     let mut llc = llc0.clone();
                     let mut w = w0;
                     black_box(
-                        exec_step_lean(&profile, &spec, &mut llc, 0, &mut w, SPAN_NS).instructions,
+                        exec_step(&profile, &spec, &mut llc, 0, &mut w, SPAN_NS, None).instructions,
                     )
                 })
             });

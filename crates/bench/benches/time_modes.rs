@@ -5,7 +5,7 @@
 //! span into one chunk per slot (expect order-of-magnitude multiples),
 //! while the saturated entries are bounded by contended cache-model
 //! execution, which never reaches the coalescible fixpoint (expect
-//! ~1.1–2×). Compare the `dense/…` and `adaptive/…` lines pairwise;
+//! roughly dense speed: both modes run the same integrator). Compare the `dense/…` and `adaptive/…` lines pairwise;
 //! `benches/exec_step.rs` tracks the mem-layer half in isolation.
 
 use aql_scenarios::{catalog, policy_for, run_seeded_in, TimeMode};

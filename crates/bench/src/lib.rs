@@ -1,39 +1,8 @@
-//! Benchmark support: shared helpers for the Criterion benches.
-//!
-//! Each bench target regenerates a scaled-down version of one paper
-//! figure or table (full-scale regeneration is the `repro` binary's
-//! job; the benches track the *cost* of producing each artifact and
-//! the micro-costs behind the §4.3 overhead claims).
+//! Criterion benches for the simulator's hot paths (see `benches/`):
+//! the micro-costs behind the §4.3 overhead claims (`overhead`), dense
+//! vs adaptive time-advance on catalog scenarios (`time_modes`) and the
+//! mem-layer integrator with and without the steady-rate cache
+//! (`exec_step`). The wall time of each paper artifact is measured by
+//! the `repro` and `sweep` binaries instead.
 
 #![warn(missing_docs)]
-
-use aql_hv::{RunReport, SchedPolicy};
-use aql_scenarios::ScenarioSpec;
-
-/// Runs a declarative scenario in quick mode under a policy; used by
-/// the figure benches so each iteration is a complete miniature
-/// experiment.
-pub fn run_quick(spec: ScenarioSpec, policy: Box<dyn SchedPolicy>) -> RunReport {
-    aql_scenarios::run(&spec.quick(), policy)
-}
-
-/// Like [`run_quick`] but resolving the policy from its registry
-/// token (e.g. `"fixed/1ms"`, `"aql-sched/sockets=1-3"`).
-pub fn run_quick_token(spec: ScenarioSpec, policy: &str) -> RunReport {
-    let spec = spec.quick();
-    let policy = aql_scenarios::policy_for(&spec, policy)
-        .unwrap_or_else(|| panic!("invalid policy token '{policy}'"));
-    aql_scenarios::run(&spec, policy)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use aql_experiments::fig2::{panel_spec, Panel};
-
-    #[test]
-    fn quick_runner_produces_reports() {
-        let r = run_quick_token(panel_spec(Panel::Lolcf, 2), "xen-credit");
-        assert_eq!(r.vms.len(), 2);
-    }
-}

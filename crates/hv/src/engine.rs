@@ -24,7 +24,7 @@
 //! computes an *event horizon* (the earliest instant anything
 //! scheduler-visible can happen: next event, slice expiry, kick
 //! deadline or workload [`Horizon`](crate::workload::Horizon)) and
-//! fast-forwards whole sub-steps up to it on a lean path, **coalescing
+//! fast-forwards whole sub-steps up to it on a fast path, **coalescing
 //! the span into one execution chunk per slot** whenever every running
 //! slot is provably linear (see
 //! [`CoalesceHint`](crate::workload::CoalesceHint)). The adaptive mode
@@ -82,7 +82,7 @@ pub enum TimeMode {
     /// engine proves a span quiescent — no slice expiry, no kick
     /// deadline, every running workload's
     /// [`Horizon`](crate::workload::Horizon) beyond it — and
-    /// fast-forwards the span's sub-steps on a lean path that skips
+    /// fast-forwards the span's sub-steps on a fast path that skips
     /// the event queue, the rescheduler and idle pCPUs entirely,
     /// executing the whole span as one coalesced chunk per slot when
     /// every running slot is linear. Reproduces [`TimeMode::Dense`]
@@ -156,8 +156,8 @@ pub struct Simulation {
     /// declares itself linear (see `engine::horizon`). Off, the
     /// adaptive mode replays the dense sub-step grid bit-for-bit.
     coalesce: bool,
-    /// Steady-rate memos for the lean execution path and the coalesce
-    /// probes, one per socket (see [`aql_mem::RateCache`]). The split
+    /// Steady-rate memos for coalesced chunks and the coalesce probes,
+    /// one per socket (see [`aql_mem::RateCache`]). The split
     /// is bit-transparent — a miss recomputes the exact bits a hit
     /// would have served — and is what lets a parallel span hand each
     /// socket lane its own cache without locking.

@@ -122,9 +122,9 @@ impl Simulation {
     /// [`CoalesceHint`](crate::workload::CoalesceHint) contract: only
     /// those route `exec_mem` through the steady-rate cache (the probe
     /// just verified and memoized the rate, so every lookup hits).
-    /// Grid-sized chunks keep the plain lean integrator — under
-    /// contention the memo key churns every chunk, so probing it there
-    /// would be pure overhead.
+    /// Grid-sized chunks, and every chunk of the dense oracle, run the
+    /// plain integrator — under contention the memo key churns every
+    /// chunk, so probing it there would be pure overhead.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn run_chunk(
         &mut self,
@@ -143,7 +143,6 @@ impl Simulation {
             ..
         } = &mut self.hv;
         let v = &mut vcpus[vid.index()];
-        let lean = self.time_mode == super::TimeMode::Adaptive;
         let mut ctx = ExecContext {
             now: t0,
             spec: &machine.cache,
@@ -153,8 +152,7 @@ impl Simulation {
             rng: &mut self.rng,
             owner: vid.index(),
             running_slots: &self.vm_running[vm],
-            lean,
-            rate_cache: (lean && coalesced).then(|| &mut self.rate_caches[socket]),
+            rate_cache: coalesced.then(|| &mut self.rate_caches[socket]),
         };
         let mut out = self.workloads[vm].run(slot, budget, &mut ctx);
         debug_assert!(

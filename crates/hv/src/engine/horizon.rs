@@ -36,9 +36,10 @@
 //! floating-point state follows the exact same trajectory. CPU-time
 //! accounting is batched per span, but those accumulators are `u64`s:
 //! integer addition is associative, so batching cannot change a single
-//! bit. The lean cache plumbing ([`aql_mem::exec_step_lean`]) is
-//! bit-identical to the dense one by construction and by property
-//! test.
+//! bit. Both modes execute through the one integrator
+//! ([`aql_mem::exec_step`]): the dense oracle's independence is its
+//! loop — the full grid, rescheduling at every sub-step — not a second
+//! copy of the cache model.
 //!
 //! **Chunk coalescing** deliberately relaxes bitwise equality to a
 //! quantified tolerance. When every running slot signs the linear
@@ -184,7 +185,6 @@ fn run_socket_span(t: &mut SocketSpan<'_>) {
             rng: &mut t.rng,
             owner: job.owner,
             running_slots: &t.vm_running[job.vm],
-            lean: true,
             rate_cache: Some(&mut *t.cache),
         };
         let mut out = t.wls[job.wl_idx].run(job.slot, budget, &mut ctx);

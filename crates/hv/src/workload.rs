@@ -11,10 +11,7 @@
 //! meters instruction progress against the cache model and accumulates
 //! PMU counters — the same counters the paper's vTRS samples.
 
-use aql_mem::{
-    exec_step, exec_step_cached, exec_step_lean, CacheSpec, ExecOutcome, LlcState, MemProfile,
-    PmuCounters, RateCache,
-};
+use aql_mem::{exec_step, CacheSpec, ExecOutcome, LlcState, MemProfile, PmuCounters, RateCache};
 use aql_sim::rng::SimRng;
 use aql_sim::time::SimTime;
 
@@ -186,15 +183,9 @@ pub struct ExecContext<'a> {
     /// Which of this VM's slots are currently on a pCPU; lets
     /// spin-lock models observe holder preemption.
     pub running_slots: &'a [bool],
-    /// Routes [`ExecContext::exec_mem`] through the allocation-free
-    /// lean cache plumbing ([`aql_mem::exec_step_lean`]). The two paths
-    /// are bit-identical; the adaptive time-advance sets this, the
-    /// dense conformance oracle leaves it off.
-    pub lean: bool,
-    /// Steady-rate cache consulted by the lean path; at the
-    /// zero-traffic fixpoint a whole budget is answered in O(1) with
-    /// the integrator's exact bits ([`aql_mem::exec_step_cached`]).
-    /// `None` keeps the plain lean integrator.
+    /// Steady-rate cache handed to [`aql_mem::exec_step`]; at the
+    /// zero-traffic fixpoint a whole budget is answered in O(1).
+    /// `None` runs the plain integrator.
     pub rate_cache: Option<&'a mut RateCache>,
 }
 
@@ -202,35 +193,15 @@ impl ExecContext<'_> {
     /// Executes `dt_ns` of CPU under `profile`, updating the LLC, the
     /// L2 warmth and the PMU. Returns the retirement outcome.
     pub fn exec_mem(&mut self, profile: &MemProfile, dt_ns: u64) -> ExecOutcome {
-        let out = if !self.lean {
-            exec_step(
-                profile,
-                self.spec,
-                self.llc,
-                self.owner,
-                self.l2_warmth,
-                dt_ns,
-            )
-        } else if let Some(cache) = self.rate_cache.as_deref_mut() {
-            exec_step_cached(
-                profile,
-                self.spec,
-                self.llc,
-                self.owner,
-                self.l2_warmth,
-                dt_ns,
-                cache,
-            )
-        } else {
-            exec_step_lean(
-                profile,
-                self.spec,
-                self.llc,
-                self.owner,
-                self.l2_warmth,
-                dt_ns,
-            )
-        };
+        let out = exec_step(
+            profile,
+            self.spec,
+            self.llc,
+            self.owner,
+            self.l2_warmth,
+            dt_ns,
+            self.rate_cache.as_deref_mut(),
+        );
         self.pmu.add_exec(&out);
         out
     }

@@ -23,8 +23,7 @@ const STALE_BOOST: f64 = 20.0;
 /// eviction weight is bit-identical either way; the only observable
 /// difference is a sub-1e-18 perturbation if the owner later re-touches
 /// — deep inside the conformance tolerance. Applied identically by
-/// [`LlcState::insert`] and [`LlcState::insert_lean`], so the two stay
-/// bit-equal to each other.
+/// both insertion layouts, so the two stay bit-equal to each other.
 const FRESHNESS_FLUSH: f64 = 1e-18;
 
 /// Occupancies below this many bytes are flushed to exactly `0.0` by
@@ -32,11 +31,11 @@ const FRESHNESS_FLUSH: f64 = 1e-18;
 /// geometrically and never reaches zero; a micro-byte footprint is
 /// physically meaningless but keeps its owner in every scan. The h3
 /// perturbation is at most `1e-6 / wss` — immeasurable. Applied
-/// identically by both insert paths.
+/// identically by both insertion layouts.
 const OCC_FLUSH_BYTES: f64 = 1e-6;
 
 /// Insertions between opportunistic compactions of the active-owner
-/// index (lean path bookkeeping only).
+/// index.
 const PRUNE_PERIOD: u32 = 4096;
 
 /// Per-socket shared LLC state.
@@ -70,25 +69,16 @@ pub struct LlcState {
     occ: Vec<f64>,
     total: f64,
     freshness: Vec<f64>,
-    /// Reused eviction-weight buffer for [`LlcState::insert_lean`], so
-    /// the lean path performs no allocation in steady state.
+    /// Reused eviction-weight buffer for [`LlcState::insert`], so
+    /// insertion performs no allocation in steady state.
     scratch: Vec<f64>,
-    /// Mutation epoch: bumped whenever an insertion or owner eviction
-    /// can change any occupancy. An unchanged epoch proves every
-    /// occupancy-derived quantity is still exact; the steady-rate cache
-    /// ([`crate::rate::RateCache`]) uses the finer per-owner occupancy
-    /// bits instead, but the epoch remains the cheap socket-wide
-    /// contention signal (diagnostics, tests, future consumers). Pure
-    /// re-reference touches do **not** bump it — they alter only this
-    /// owner's freshness, which no execution rate reads.
-    epoch: u64,
     /// Owners that may hold state (occupancy or freshness > 0), in
-    /// ascending order. The lean mutation paths scan only this set:
-    /// every skipped owner holds exactly `0.0` in both fields, and
+    /// ascending order. The sparse insertion layout scans only this
+    /// set: every skipped owner holds exactly `0.0` in both fields, and
     /// `x + 0.0` / `0.0 × d` are exact, so the results are bit-identical
-    /// to the dense full scans. On a multi-socket machine owner indices
-    /// are global, so this keeps each socket's passes proportional to
-    /// the owners that ever ran there, not to the whole machine.
+    /// to full scans. On a multi-socket machine owner indices are
+    /// global, so this keeps each socket's passes proportional to the
+    /// owners that ever ran there, not to the whole machine.
     active: Vec<u32>,
     /// Membership mirror of `active` for O(1) insertion checks.
     is_active: Vec<bool>,
@@ -97,7 +87,7 @@ pub struct LlcState {
     /// byte counts chunk after chunk; reusing the previous `exp` result
     /// for the identical input is bit-transparent.
     exp_memo: (u64, f64),
-    /// Lean insertions since the last active-set compaction.
+    /// Insertions since the last active-set compaction.
     prune_tick: u32,
     /// Concurrency-contract auditor (debug builds only). While armed
     /// ([`LlcState::audit_arm`]), every mutating entry point panics
@@ -120,7 +110,6 @@ impl LlcState {
             total: 0.0,
             freshness: vec![0.0; owners],
             scratch: Vec::new(),
-            epoch: 0,
             active: Vec::new(),
             is_active: vec![false; owners],
             exp_memo: (u64::MAX, 1.0),
@@ -189,13 +178,6 @@ impl LlcState {
         self.total
     }
 
-    /// Current mutation epoch (see the field docs). Any change to any
-    /// occupancy bumps this; cached occupancy-derived rates are valid
-    /// exactly as long as the epoch stands still.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Grows the index space to hold at least `owners` owners.
     pub fn ensure_owners(&mut self, owners: usize) {
         if self.occ.len() < owners {
@@ -206,8 +188,8 @@ impl LlcState {
     }
 
     /// Marks an owner as possibly holding state, keeping `active`
-    /// sorted ascending so lean scans visit owners in dense index
-    /// order (the order the dense loops use).
+    /// sorted ascending so sparse scans visit owners in index order
+    /// (the order contiguous scans use).
     fn activate(&mut self, owner: usize) {
         if !self.is_active[owner] {
             self.is_active[owner] = true;
@@ -242,100 +224,15 @@ impl LlcState {
     /// normally the owner's working-set size), then resolves capacity
     /// pressure by evicting in proportion to occupancy × staleness
     /// (LRU approximation via freshness).
-    pub fn insert(&mut self, owner: usize, bytes: f64, max_bytes: f64) {
-        debug_assert!(bytes >= 0.0 && max_bytes >= 0.0);
-        self.audit_check(owner);
-        self.ensure_owners(owner + 1);
-        let cur = self.occ[owner];
-        let grown = (cur + bytes).min(max_bytes.max(cur));
-        self.total += grown - cur;
-        self.occ[owner] = grown;
-        if bytes > 0.0 {
-            self.epoch = self.epoch.wrapping_add(1);
-        }
-        if grown > 0.0 {
-            self.activate(owner);
-        }
-        // New insertions age everyone else's lines.
-        if bytes > 0.0 {
-            let decay = (-bytes / (self.capacity * FRESH_TAU)).exp();
-            for (i, f) in self.freshness.iter_mut().enumerate() {
-                if i != owner {
-                    *f *= decay;
-                    if *f < FRESHNESS_FLUSH {
-                        *f = 0.0;
-                    }
-                }
-            }
-        }
-        let mut overflow = self.total - self.capacity;
-        if overflow <= 0.0 {
-            return;
-        }
-        // Weighted eviction with clamping; a few passes suffice, then
-        // fall back to plain proportional scaling.
-        for _ in 0..4 {
-            if overflow <= 1e-9 {
-                break;
-            }
-            let weights: Vec<f64> = (0..self.occ.len())
-                .map(|i| {
-                    if self.occ[i] > 0.0 {
-                        self.occ[i] * (1.0 + STALE_BOOST * (1.0 - self.freshness[i]))
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-            let wsum: f64 = weights.iter().sum();
-            if wsum <= 0.0 {
-                break;
-            }
-            let mut evicted = 0.0;
-            for (occ, w) in self.occ.iter_mut().zip(&weights) {
-                let want = overflow * w / wsum;
-                let take = want.min(*occ);
-                *occ -= take;
-                if *occ < OCC_FLUSH_BYTES {
-                    *occ = 0.0;
-                }
-                evicted += take;
-            }
-            overflow -= evicted;
-            if evicted <= 1e-12 {
-                break;
-            }
-        }
-        if overflow > 1e-9 {
-            // Degenerate weights: plain proportional fallback.
-            let sum: f64 = self.occ.iter().sum();
-            if sum > 0.0 {
-                let scale = (sum - overflow).max(0.0) / sum;
-                for o in &mut self.occ {
-                    *o *= scale;
-                    if *o < OCC_FLUSH_BYTES {
-                        *o = 0.0;
-                    }
-                }
-            }
-        }
-        self.total = self.occ.iter().sum();
-    }
-
-    /// Bit-identical fast variant of [`LlcState::insert`].
     ///
-    /// Performs exactly the same floating-point operations in exactly
-    /// the same order, but touches only the *active* owner set (owners
-    /// whose occupancy and freshness are not both exactly zero — the
-    /// skipped terms are exact identities: `x + 0.0`, `0.0 × d`,
-    /// `0.0`-weight takes), reuses a scratch buffer for the eviction
-    /// weights (no allocation) and memoizes the freshness-decay
-    /// exponential for repeated identical insert sizes. The engine's
-    /// adaptive time-advance routes execution through this path; the
-    /// dense conformance oracle keeps calling [`LlcState::insert`].
-    /// `llc_lean_matches_insert` (property test) asserts the bitwise
-    /// equivalence.
-    pub fn insert_lean(&mut self, owner: usize, bytes: f64, max_bytes: f64) {
+    /// Allocation-free in steady state: the eviction weights reuse a
+    /// scratch buffer and the freshness-decay exponential is memoized
+    /// for repeated identical insert sizes. The scans run over every
+    /// owner or only the active ones, whichever layout suits the
+    /// observed density; the two are bit-identical, and
+    /// `insert_matches_full_scan_reference` (property test) holds both
+    /// to a plain full-scan reference.
+    pub fn insert(&mut self, owner: usize, bytes: f64, max_bytes: f64) {
         debug_assert!(bytes >= 0.0 && max_bytes >= 0.0);
         self.audit_check(owner);
         self.prune_tick += 1;
@@ -348,28 +245,24 @@ impl LlcState {
         let grown = (cur + bytes).min(max_bytes.max(cur));
         self.total += grown - cur;
         self.occ[owner] = grown;
-        if bytes > 0.0 {
-            self.epoch = self.epoch.wrapping_add(1);
-        }
         if grown > 0.0 {
             self.activate(owner);
         }
         // Layout choice, not semantics: when most owners are active
         // (single-socket machines), indexed gathers lose to contiguous
-        // scans, so fall through to the dense-layout loops; the sparse
+        // scans, so run the contiguous loops; the sparse
         // path pays off on multi-socket machines where each socket only
         // ever hosts a fraction of the global owner space.
         if self.active.len() * 4 >= self.occ.len() * 3 {
-            self.insert_lean_contiguous(owner, bytes);
+            self.insert_contiguous(owner, bytes);
         } else {
-            self.insert_lean_sparse(owner, bytes);
+            self.insert_sparse(owner, bytes);
         }
     }
 
-    /// The lean tail for a mostly-active owner space: the dense loop
-    /// shapes (contiguous scans, no indirection) with the lean-only
-    /// extras — scratch-buffer reuse and the memoized decay `exp`.
-    fn insert_lean_contiguous(&mut self, owner: usize, bytes: f64) {
+    /// The insertion tail for a mostly-active owner space: contiguous
+    /// scans over every owner, no indirection.
+    fn insert_contiguous(&mut self, owner: usize, bytes: f64) {
         if bytes > 0.0 {
             let decay = self.decay_for(bytes);
             for (i, f) in self.freshness.iter_mut().enumerate() {
@@ -438,12 +331,12 @@ impl LlcState {
         self.total = self.occ.iter().sum();
     }
 
-    /// The lean tail for a sparsely-active owner space: every scan
+    /// The insertion tail for a sparsely-active owner space: every scan
     /// visits only the active owners. Inactive owners hold exactly
     /// `0.0` occupancy and freshness, so the skipped terms are exact
     /// identities (`x + 0.0`, `0.0 × d`, zero-weight takes) and the
     /// results match the contiguous scans bit for bit.
-    fn insert_lean_sparse(&mut self, owner: usize, bytes: f64) {
+    fn insert_sparse(&mut self, owner: usize, bytes: f64) {
         if bytes > 0.0 {
             let decay = self.decay_for(bytes);
             for k in 0..self.active.len() {
@@ -552,9 +445,6 @@ impl LlcState {
     pub fn evict_owner(&mut self, owner: usize) {
         self.audit_check(owner);
         if let Some(o) = self.occ.get_mut(owner) {
-            if *o != 0.0 {
-                self.epoch = self.epoch.wrapping_add(1);
-            }
             self.total -= *o;
             *o = 0.0;
             if self.total < 0.0 {
@@ -572,6 +462,85 @@ impl LlcState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LlcState {
+        /// The full-scan reference for [`LlcState::insert`]: every
+        /// owner visited by every scan, a fresh weight vector per pass
+        /// and an un-memoized decay `exp`. Test-only.
+        pub(crate) fn insert_full_scan(&mut self, owner: usize, bytes: f64, max_bytes: f64) {
+            self.ensure_owners(owner + 1);
+            let cur = self.occ[owner];
+            let grown = (cur + bytes).min(max_bytes.max(cur));
+            self.total += grown - cur;
+            self.occ[owner] = grown;
+            if grown > 0.0 {
+                self.activate(owner);
+            }
+            // New insertions age everyone else's lines.
+            if bytes > 0.0 {
+                let decay = (-bytes / (self.capacity * FRESH_TAU)).exp();
+                for (i, f) in self.freshness.iter_mut().enumerate() {
+                    if i != owner {
+                        *f *= decay;
+                        if *f < FRESHNESS_FLUSH {
+                            *f = 0.0;
+                        }
+                    }
+                }
+            }
+            let mut overflow = self.total - self.capacity;
+            if overflow <= 0.0 {
+                return;
+            }
+            // Weighted eviction with clamping; a few passes suffice,
+            // then fall back to plain proportional scaling.
+            for _ in 0..4 {
+                if overflow <= 1e-9 {
+                    break;
+                }
+                let weights: Vec<f64> = (0..self.occ.len())
+                    .map(|i| {
+                        if self.occ[i] > 0.0 {
+                            self.occ[i] * (1.0 + STALE_BOOST * (1.0 - self.freshness[i]))
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                let wsum: f64 = weights.iter().sum();
+                if wsum <= 0.0 {
+                    break;
+                }
+                let mut evicted = 0.0;
+                for (occ, w) in self.occ.iter_mut().zip(&weights) {
+                    let want = overflow * w / wsum;
+                    let take = want.min(*occ);
+                    *occ -= take;
+                    if *occ < OCC_FLUSH_BYTES {
+                        *occ = 0.0;
+                    }
+                    evicted += take;
+                }
+                overflow -= evicted;
+                if evicted <= 1e-12 {
+                    break;
+                }
+            }
+            if overflow > 1e-9 {
+                let sum: f64 = self.occ.iter().sum();
+                if sum > 0.0 {
+                    let scale = (sum - overflow).max(0.0) / sum;
+                    for o in &mut self.occ {
+                        *o *= scale;
+                        if *o < OCC_FLUSH_BYTES {
+                            *o = 0.0;
+                        }
+                    }
+                }
+            }
+            self.total = self.occ.iter().sum();
+        }
+    }
 
     fn total_matches(llc: &LlcState) -> bool {
         let sum: f64 = (0..llc.occ.len()).map(|i| llc.occupancy(i)).sum();
@@ -676,11 +645,43 @@ mod tests {
         );
     }
 
+    /// Asserts `a` and `b` hold bit-identical totals, occupancies and
+    /// freshness over the first `owners` owners.
+    fn assert_bitwise(a: &LlcState, b: &LlcState, owners: usize, step: usize) {
+        assert_eq!(a.total().to_bits(), b.total().to_bits(), "step {step}");
+        for i in 0..owners {
+            assert_eq!(
+                a.occupancy(i).to_bits(),
+                b.occupancy(i).to_bits(),
+                "occ[{i}] diverged at step {step}"
+            );
+            assert_eq!(
+                a.freshness(i).to_bits(),
+                b.freshness(i).to_bits(),
+                "freshness[{i}] diverged at step {step}"
+            );
+        }
+    }
+
+    /// One random insertion with the size mix of the property test.
+    fn random_insert(rng: &mut aql_sim::rng::SimRng) -> (f64, f64) {
+        let bytes = rng.unit_f64() * 2_000_000.0;
+        let max = if rng.chance(0.3) {
+            1e9
+        } else {
+            rng.unit_f64() * 9_000_000.0
+        };
+        (bytes, max)
+    }
+
     #[test]
-    fn llc_lean_matches_insert() {
-        // insert_lean must be bit-identical to insert over arbitrary
-        // operation sequences: same occupancies, totals and freshness.
+    fn insert_matches_full_scan_reference() {
+        // insert must be bit-identical to the full-scan reference over
+        // arbitrary operation sequences: same occupancies, totals and
+        // freshness.
         let mut rng = aql_sim::rng::SimRng::seed_from(42);
+        // Owners drawn from the whole index space: every owner turns
+        // active within a few dozen steps (contiguous layout).
         for owners in [1usize, 2, 7, 32] {
             let mut a = LlcState::new(8_388_608.0, owners);
             let mut b = LlcState::new(8_388_608.0, owners);
@@ -693,50 +694,53 @@ mod tests {
                         b.touch_frac(owner, frac);
                     }
                     _ => {
-                        let bytes = rng.unit_f64() * 2_000_000.0;
-                        let max = if rng.chance(0.3) {
-                            1e9
-                        } else {
-                            rng.unit_f64() * 9_000_000.0
-                        };
-                        a.insert(owner, bytes, max);
-                        b.insert_lean(owner, bytes, max);
+                        let (bytes, max) = random_insert(&mut rng);
+                        a.insert_full_scan(owner, bytes, max);
+                        b.insert(owner, bytes, max);
                     }
                 }
-                assert_eq!(a.total().to_bits(), b.total().to_bits(), "step {step}");
-                assert_eq!(a.epoch(), b.epoch(), "epoch diverged at step {step}");
-                for i in 0..owners {
-                    assert_eq!(
-                        a.occupancy(i).to_bits(),
-                        b.occupancy(i).to_bits(),
-                        "occ[{i}] diverged at step {step}"
-                    );
-                    assert_eq!(
-                        a.freshness(i).to_bits(),
-                        b.freshness(i).to_bits(),
-                        "freshness[{i}] diverged at step {step}"
-                    );
-                }
+                assert_bitwise(&a, &b, owners, step);
             }
         }
-    }
-
-    #[test]
-    fn epoch_tracks_mutations_only() {
-        let mut llc = LlcState::new(1000.0, 2);
-        let e0 = llc.epoch();
-        llc.touch_frac(0, 0.5); // pure re-reference: no occupancy change
-        assert_eq!(llc.epoch(), e0, "touches must not bump the epoch");
-        llc.insert(0, 10.0, 1e9);
-        assert_ne!(llc.epoch(), e0, "insertions must bump the epoch");
-        let e1 = llc.epoch();
-        llc.insert(0, 0.0, 1e9); // zero-byte insert changes nothing
-        assert_eq!(llc.epoch(), e1);
-        llc.evict_owner(0);
-        assert_ne!(llc.epoch(), e1, "owner eviction must bump the epoch");
-        let e2 = llc.epoch();
-        llc.evict_owner(1); // owner 1 holds nothing
-        assert_eq!(llc.epoch(), e2);
+        // One socket of a four-socket machine: a 48-owner global index
+        // space of which only six owners ever touch this LLC (sparse
+        // layout). Each phase runs a random subset of them; the rest go
+        // cold, get flushed to zero, are pruned from the active index
+        // and later come back — across several PRUNE_PERIODs.
+        const OWNERS: usize = 48;
+        let socket = [3usize, 17, 18, 30, 41, 47];
+        let mut a = LlcState::new(8_388_608.0, OWNERS);
+        let mut b = LlcState::new(8_388_608.0, OWNERS);
+        let (mut inserts, mut pruned, mut revived) = (0u32, 0u32, 0u32);
+        let mut ever_active = [false; OWNERS];
+        let mut step = 0;
+        while inserts < 3 * PRUNE_PERIOD {
+            let hot: Vec<usize> = socket.iter().copied().filter(|_| rng.chance(0.4)).collect();
+            let hot = if hot.is_empty() { vec![socket[0]] } else { hot };
+            for _ in 0..1_500 {
+                let owner = hot[rng.uniform_u64(0, hot.len() as u64) as usize];
+                let was_pruned = ever_active[owner] && !b.is_active[owner];
+                if rng.uniform_u64(0, 4) == 0 {
+                    let frac = rng.unit_f64() * 1.5;
+                    a.touch_frac(owner, frac);
+                    b.touch_frac(owner, frac);
+                } else {
+                    let (bytes, max) = random_insert(&mut rng);
+                    let before = b.active.len();
+                    a.insert_full_scan(owner, bytes, max);
+                    b.insert(owner, bytes, max);
+                    inserts += 1;
+                    pruned += u32::from(b.active.len() < before);
+                }
+                revived += u32::from(was_pruned && b.is_active[owner]);
+                ever_active[owner] |= b.is_active[owner];
+                assert!(b.active.len() * 4 < OWNERS * 3, "layout must stay sparse");
+                assert_bitwise(&a, &b, OWNERS, step);
+                step += 1;
+            }
+        }
+        assert!(pruned > 0, "no owner ever went cold enough to be pruned");
+        assert!(revived > 0, "no pruned owner ever came back");
     }
 
     #[test]
@@ -758,7 +762,7 @@ mod tests {
         let mut llc = LlcState::new(1000.0, 4);
         llc.audit_arm(&[1, 2]);
         llc.insert(1, 100.0, 1e9);
-        llc.insert_lean(2, 100.0, 1e9);
+        llc.insert(2, 100.0, 1e9);
         llc.touch_frac(1, 0.5);
         llc.evict_owner(2);
         llc.audit_disarm();
@@ -773,7 +777,7 @@ mod tests {
     fn armed_auditor_rejects_cross_lane_mutation() {
         let mut llc = LlcState::new(1000.0, 4);
         llc.audit_arm(&[0, 1]);
-        llc.insert_lean(3, 100.0, 1e9);
+        llc.insert(3, 100.0, 1e9);
     }
 
     #[cfg(debug_assertions)]

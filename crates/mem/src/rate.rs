@@ -19,29 +19,28 @@
 //! integrator itself stops sizing chunks by miss traffic — and the
 //! fast path then *omits* that sub-epsilon traffic: occupancies stop
 //! creeping and the snapped state is a true fixpoint of the fast path.
-//! The divergence from the dense oracle is bounded by the threshold
-//! (≲1e-13 relative on rates, absolute bytes per span on occupancy) —
-//! orders of magnitude inside the 1e-6 tolerance the conformance
-//! oracle grants (`cached_matches_dense_at_fixpoint` pins the bound).
+//! The divergence from the uncached integrator is bounded by the
+//! threshold (≲1e-13 relative on rates, absolute bytes per span on
+//! occupancy) — orders of magnitude inside the 1e-6 tolerance the
+//! conformance oracle grants (`cached_matches_uncached_at_fixpoint`
+//! pins the bound).
 //!
-//! [`RateCache`] memoizes the answer per owner. Because the rate is a
-//! *pure function* of the profile, the owner's own occupancy and its
-//! L2 warmth, the entry is keyed on those exact input bits — a finer
-//! (and cheaper) validity condition than the LLC-wide mutation epoch
-//! ([`LlcState::epoch`]): an unrelated owner's insertion that leaves
-//! this owner's occupancy bits intact keeps the entry valid, while
-//! anything that moves the rate necessarily moves a key bit.
+//! [`RateCache`] memoizes the answer per owner, and
+//! [`crate::exec_step`] consults it when handed one. Because the rate
+//! is a *pure function* of the profile, the owner's own occupancy and
+//! its L2 warmth, the entry is keyed on those exact input bits: an
+//! unrelated owner's insertion that leaves this owner's occupancy bits
+//! intact keeps the entry valid, while anything that moves the rate
+//! necessarily moves a key bit.
 //! Scheduling events therefore invalidate entries for free: contention
 //! erodes the occupancy bits, a migration (or a same-pCPU context
 //! switch) resets the warmth bits, and a phase shift changes the
 //! profile bits. A stale hit is impossible by construction.
 
-use crate::exec::{ExecOutcome, MAX_SUBSTEPS};
+use crate::exec::RateLaw;
 use crate::llc::LlcState;
 use crate::profile::MemProfile;
 use crate::spec::CacheSpec;
-
-use crate::exec::MAX_FILL_FRACTION;
 
 /// The linear execution rate at a zero-traffic fixpoint.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,39 +81,14 @@ pub fn steady_rate(
     owner: usize,
     l2_warmth: f64,
 ) -> Option<SteadyRate> {
-    let wss = profile.wss_bytes as f64;
-    // Exactly the expressions of `exec_step`, so a cached rate carries
-    // the same bits the integrator would derive.
-    let h2_cap = profile.l2_hit_warm(spec);
-    let h2 = h2_cap * l2_warmth.clamp(0.0, 1.0);
-    let deep = profile.deep_refs_per_instr;
-    let resident = llc.occupancy(owner);
-    let h3 = if wss <= 0.0 {
-        1.0
-    } else {
-        (resident / wss).clamp(0.0, 1.0)
-    };
-    let llc_ref_per_instr = deep * (1.0 - h2);
-    let llc_miss_per_instr = llc_ref_per_instr * (1.0 - h3);
-    let l2_fill_per_instr = deep * (1.0 - h2);
-    let warmth_inert = l2_warmth >= 1.0 || l2_fill_per_instr <= 1e-12;
-    if llc_miss_per_instr > NEGLIGIBLE_MISS_RATE || !warmth_inert {
-        return None;
-    }
-    let ns_per_instr = profile.base_ns_per_instr
-        + deep
-            * (h2 * spec.l2_hit_ns
-                + (1.0 - h2) * (h3 * spec.llc_hit_ns + (1.0 - h3) * spec.mem_ns));
-    Some(SteadyRate {
-        ns_per_instr,
-        llc_ref_per_instr,
-    })
+    let rates = RateLaw::new(profile, spec).at(l2_warmth, llc.occupancy(owner));
+    rates.at_fixpoint(l2_warmth).then(|| rates.steady())
 }
 
 /// The exact state bits a steady rate was derived from.
-type RateKey = (u64, u64, u64, u64, u64);
+pub(crate) type RateKey = (u64, u64, u64, u64, u64);
 
-fn rate_key(profile: &MemProfile, l2_warmth: f64, resident: f64) -> RateKey {
+pub(crate) fn rate_key(profile: &MemProfile, l2_warmth: f64, resident: f64) -> RateKey {
     (
         profile.wss_bytes,
         profile.deep_refs_per_instr.to_bits(),
@@ -206,7 +180,12 @@ impl RateCache {
     }
 
     /// Looks `key` up in the owner's ways, promoting a hit to way 0.
-    fn probe(&mut self, owner: usize, spec: &CacheSpec, key: RateKey) -> Option<SteadyRate> {
+    pub(crate) fn probe(
+        &mut self,
+        owner: usize,
+        spec: &CacheSpec,
+        key: RateKey,
+    ) -> Option<SteadyRate> {
         let ways = self.ways(owner, spec);
         for w in 0..2 {
             if let Some(e) = ways[w] {
@@ -224,7 +203,7 @@ impl RateCache {
     }
 
     /// Stores a freshly computed rate, displacing the colder way.
-    fn store(&mut self, owner: usize, spec: &CacheSpec, key: RateKey, rate: SteadyRate) {
+    pub(crate) fn store(&mut self, owner: usize, spec: &CacheSpec, key: RateKey, rate: SteadyRate) {
         let ways = self.ways(owner, spec);
         ways[1] = ways[0];
         ways[0] = Some(Entry { key, rate });
@@ -251,130 +230,10 @@ impl RateCache {
     }
 }
 
-/// [`crate::exec_step_lean`] with a steady-rate fast path.
-///
-/// A memo hit answers the whole budget in O(1): one chunk at the
-/// cached fixpoint rate, the same freshness touch the integrator would
-/// make, no insertion (sub-epsilon miss traffic is reported and
-/// inserted as exactly zero) and no warmth write (saturated warmth is
-/// a fixed point of the fill update). On a miss the integration runs
-/// with the lean loop's exact operation order, detecting the fixpoint
-/// from the rates it computes anyway — so non-steady execution pays
-/// only the memo probe, and the first steady sub-step snaps the rest
-/// of the budget and fills the memo for the next call.
-pub fn exec_step_cached(
-    profile: &MemProfile,
-    spec: &CacheSpec,
-    llc: &mut LlcState,
-    owner: usize,
-    l2_warmth: &mut f64,
-    dt_ns: u64,
-    cache: &mut RateCache,
-) -> ExecOutcome {
-    let mut out = ExecOutcome::default();
-    if dt_ns == 0 {
-        return out;
-    }
-    let wss = profile.wss_bytes as f64;
-    let line = spec.line_bytes as f64;
-    // Memo probe: pure-function key, so a hit cannot be stale.
-    {
-        let key = rate_key(profile, *l2_warmth, llc.occupancy(owner));
-        if let Some(rate) = cache.probe(owner, spec, key) {
-            let instr = dt_ns as f64 / rate.ns_per_instr;
-            let refs = instr * rate.llc_ref_per_instr;
-            if refs > 0.0 && wss > 0.0 {
-                llc.touch_frac(owner, refs * line / wss);
-            }
-            out.instructions = instr;
-            out.llc_refs = refs;
-            return out;
-        }
-    }
-    // The lean integration loop (identical operation order to
-    // `exec_step_lean`), plus the fixpoint snap: the moment a sub-step
-    // derives negligible traffic, the remainder of the budget is
-    // answered linearly and the rate is memoized.
-    let h2_cap = profile.l2_hit_warm(spec);
-    let deep = profile.deep_refs_per_instr;
-    let l2_target = (wss.min(spec.l2_bytes as f64)).max(1.0);
-    let mut remaining = dt_ns as f64;
-    let mut guard: u32 = 0;
-    while remaining > 0.0 {
-        guard += 1;
-        let h2 = h2_cap * l2_warmth.clamp(0.0, 1.0);
-        let resident = llc.occupancy(owner);
-        let h3 = if wss <= 0.0 {
-            1.0
-        } else {
-            (resident / wss).clamp(0.0, 1.0)
-        };
-        let llc_ref_per_instr = deep * (1.0 - h2);
-        let llc_miss_per_instr = llc_ref_per_instr * (1.0 - h3);
-        let ns_per_instr = profile.base_ns_per_instr
-            + deep
-                * (h2 * spec.l2_hit_ns
-                    + (1.0 - h2) * (h3 * spec.llc_hit_ns + (1.0 - h3) * spec.mem_ns));
-        let l2_fill_per_instr = deep * (1.0 - h2);
-
-        if llc_miss_per_instr <= NEGLIGIBLE_MISS_RATE
-            && (*l2_warmth >= 1.0 || l2_fill_per_instr <= 1e-12)
-        {
-            // Fixpoint reached: snap the rest of the budget.
-            let rate = SteadyRate {
-                ns_per_instr,
-                llc_ref_per_instr,
-            };
-            cache.store(owner, spec, rate_key(profile, *l2_warmth, resident), rate);
-            let instr = remaining / ns_per_instr;
-            let refs = instr * llc_ref_per_instr;
-            out.instructions += instr;
-            out.llc_refs += refs;
-            if refs > 0.0 && wss > 0.0 {
-                llc.touch_frac(owner, refs * line / wss);
-            }
-            return out;
-        }
-
-        let mut chunk = remaining;
-        if guard < MAX_SUBSTEPS {
-            if llc_miss_per_instr > 1e-12 && wss > 0.0 {
-                let instr_cap = (wss * MAX_FILL_FRACTION / line) / llc_miss_per_instr;
-                chunk = chunk.min(instr_cap * ns_per_instr);
-            }
-            if l2_fill_per_instr > 1e-12 && *l2_warmth < 1.0 {
-                let instr_cap = (l2_target * MAX_FILL_FRACTION / line) / l2_fill_per_instr;
-                chunk = chunk.min(instr_cap * ns_per_instr);
-            }
-        }
-        chunk = chunk.max(remaining.min(1.0)).min(remaining);
-
-        let instr = chunk / ns_per_instr;
-        let refs = instr * llc_ref_per_instr;
-        let misses = instr * llc_miss_per_instr;
-        out.instructions += instr;
-        out.llc_refs += refs;
-        out.llc_misses += misses;
-
-        if refs > 0.0 && wss > 0.0 {
-            llc.touch_frac(owner, refs * line / wss);
-        }
-        if misses > 0.0 {
-            llc.insert_lean(owner, misses * line, wss);
-        }
-        if l2_fill_per_instr > 1e-12 {
-            let fill = instr * l2_fill_per_instr * line;
-            *l2_warmth = (*l2_warmth + fill / l2_target).min(1.0);
-        }
-        remaining -= chunk;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{exec_step, exec_step_lean};
+    use crate::exec::{exec_step, exec_step_reference};
     use aql_sim::time::MS;
 
     fn spec() -> CacheSpec {
@@ -385,7 +244,7 @@ mod tests {
     fn warm_up(p: &MemProfile, spec: &CacheSpec, llc: &mut LlcState, owner: usize) -> f64 {
         let mut w = 0.0;
         for _ in 0..200 {
-            let _ = exec_step(p, spec, llc, owner, &mut w, MS);
+            let _ = exec_step(p, spec, llc, owner, &mut w, MS, None);
         }
         w
     }
@@ -425,7 +284,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_matches_dense_at_fixpoint() {
+    fn cached_matches_uncached_at_fixpoint() {
         // Wherever the rate cache answers, the answer must agree with
         // the integrator far inside the 1e-6 conformance tolerance:
         // the only divergence allowed is the snapped sub-epsilon miss
@@ -454,8 +313,8 @@ mod tests {
             let (mut ia, mut ib) = (0.0f64, 0.0f64);
             for _ in 0..200 {
                 let dt = rng.uniform_u64(1, 20 * MS);
-                let a = exec_step(p, &spec, &mut llc_a, 0, &mut wa, dt);
-                let b = exec_step_cached(p, &spec, &mut llc_b, 0, &mut wb, dt, &mut cache);
+                let a = exec_step(p, &spec, &mut llc_a, 0, &mut wa, dt, None);
+                let b = exec_step(p, &spec, &mut llc_b, 0, &mut wb, dt, Some(&mut cache));
                 ia += a.instructions;
                 ib += b.instructions;
                 close(a.instructions, b.instructions, "chunk instructions");
@@ -476,9 +335,9 @@ mod tests {
     }
 
     #[test]
-    fn cached_is_bitwise_lean_when_not_at_fixpoint() {
-        // The cached integrator's loop must stay operation-for-
-        // operation identical to exec_step_lean off the fixpoint:
+    fn cached_is_bitwise_reference_when_not_at_fixpoint() {
+        // Off the fixpoint the cached integrator must stay operation-
+        // for-operation identical to the full-scan reference:
         // exercise both non-linear regimes — a trasher (miss caps,
         // eviction) and a cold LLCF fill (both fill caps, L2 warm-up).
         let spec = spec();
@@ -493,8 +352,8 @@ mod tests {
                 if !trasher && steady_rate(&p, &spec, &llc_a, 0, wa).is_some() {
                     break; // the LLCF fill reached the fixpoint
                 }
-                let a = exec_step_lean(&p, &spec, &mut llc_a, 0, &mut wa, MS);
-                let b = exec_step_cached(&p, &spec, &mut llc_b, 0, &mut wb, MS, &mut cache);
+                let a = exec_step_reference(&p, &spec, &mut llc_a, 0, &mut wa, MS);
+                let b = exec_step(&p, &spec, &mut llc_b, 0, &mut wb, MS, Some(&mut cache));
                 assert_eq!(
                     a.instructions.to_bits(),
                     b.instructions.to_bits(),
@@ -548,7 +407,7 @@ mod tests {
         assert_eq!(cache.stats().1, rec0, "stable state must hit the cache");
         // A contender's insertion erodes the owner's occupancy: the
         // next lookup must recompute (and stop being linear).
-        llc.insert_lean(1, spec.llc_bytes as f64, 1e18);
+        llc.insert(1, spec.llc_bytes as f64, 1e18);
         let relinear = cache.linear_rate(&p, &spec, &llc, 0, w);
         assert_eq!(cache.stats().1, rec0 + 1, "occupancy change must recompute");
         assert!(

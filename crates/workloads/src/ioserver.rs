@@ -555,7 +555,6 @@ mod tests {
                 rng: &mut rng,
                 owner: 0,
                 running_slots: &[true],
-                lean: false,
                 rate_cache: None,
             };
             srv.run(0, budget, &mut ctx)

@@ -203,7 +203,6 @@ mod tests {
             rng: &mut rng,
             owner: 0,
             running_slots: &running,
-            lean: false,
             rate_cache: None,
         };
         let out = w.run(0, 25 * MS, &mut ctx);
